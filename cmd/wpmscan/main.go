@@ -95,18 +95,9 @@ func main() {
 	walDir := flag.String("wal-dir", "wpmscan-wal", "directory for the per-shard WAL logs when -store wal")
 	fsync := flag.String("fsync", "checkpoint", "WAL fsync policy: off|checkpoint|always")
 	recoverRun := flag.Bool("recover", false, "rebuild the crawl from the WALs under -wal-dir (after a crash or SIGINT) and resume it")
-	vmMode := flag.String("vm", "on", "script engine: on (bytecode VM) | off (tree-walking interpreter); artifacts are byte-identical either way")
 	flag.Parse()
 
 	opts := experiments.ScanOptions{MaxSubpages: *subpages, Workers: *workers, MaxVisitSeconds: *maxVisitS, FaultSeed: *faultSeed}
-	switch *vmMode {
-	case "on":
-	case "off":
-		opts.DisableVM = true
-	default:
-		fmt.Fprintln(os.Stderr, "-vm must be on or off")
-		os.Exit(2)
-	}
 	var tel *telemetry.Telemetry
 	if *telemetryPath != "" || *tracePath != "" {
 		tel = telemetry.New()

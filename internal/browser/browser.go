@@ -19,7 +19,7 @@ import (
 	"gullible/internal/telemetry"
 )
 
-// ErrCSPBlocked is returned by InjectPageScript when the page's CSP forbids
+// ErrCSPBlocked is returned by InjectPageProgram when the page's CSP forbids
 // DOM script injection.
 var ErrCSPBlocked = errors.New("browser: script injection blocked by Content Security Policy")
 
@@ -512,8 +512,10 @@ func (b *Browser) runScript(d *jsdom.DOM, source, url string, inline bool) {
 	if err != nil {
 		b.scriptErrs = append(b.scriptErrs, err.Error())
 	}
-	// RunProgram resets the step counter on entry, so Steps() is this
-	// program's cost; allocs is cumulative, so take the delta
+	// Steps() is this program's cost: RunProgram starts a fresh count, except
+	// for a script another script document.write()s in, which shares (and
+	// reports) its writer's running count. allocs is cumulative, so take the
+	// delta
 	b.mInterpSteps.Add(d.It.Steps())
 	b.mInterpAllocs.Add(d.It.Allocs() - allocs0)
 	b.tel.End(span, "script-exec", b.clockMS, telemetry.L("steps", fmt.Sprint(d.It.Steps())))
@@ -630,37 +632,14 @@ func (b *Browser) CSPReports() int { return b.cspReports }
 // FinalURL returns the post-redirect URL of the current visit.
 func (b *Browser) FinalURL() string { return b.finalURL }
 
-// InjectPageScript runs src in the page context by injecting a DOM script
+// InjectPageProgram runs prog in the page context by injecting a DOM script
 // node — OpenWPM's vanilla approach. It is subject to the page's CSP.
-func (b *Browser) InjectPageScript(d *jsdom.DOM, src, name string) error {
-	if b.csp.Present && !b.csp.AllowsInline() {
-		b.reportCSPViolation()
-		return ErrCSPBlocked
-	}
-	_, err := d.It.RunScript(src, name)
-	return err
-}
-
-// RunContentScript runs src with content-script privileges: CSP does not
-// apply (the WPM_hide approach, Sec. 6.2.1).
-func (b *Browser) RunContentScript(d *jsdom.DOM, src, name string) error {
-	_, err := d.It.RunScript(src, name)
-	return err
-}
-
-// InjectPageProgram is InjectPageScript for a pre-parsed program, letting
-// instrumentation reuse one AST across pages.
+// Instrumentation passes one compiled program for every page.
 func (b *Browser) InjectPageProgram(d *jsdom.DOM, prog *minjs.Program) error {
 	if b.csp.Present && !b.csp.AllowsInline() {
 		b.reportCSPViolation()
 		return ErrCSPBlocked
 	}
-	_, err := d.It.RunProgram(prog)
-	return err
-}
-
-// RunContentProgram is RunContentScript for a pre-parsed program.
-func (b *Browser) RunContentProgram(d *jsdom.DOM, prog *minjs.Program) error {
 	_, err := d.It.RunProgram(prog)
 	return err
 }

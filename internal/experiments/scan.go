@@ -131,11 +131,6 @@ type ScanOptions struct {
 	MaxRetries       int
 	BreakerThreshold int
 
-	// DisableVM runs page scripts on the tree-walking interpreter instead
-	// of the bytecode VM. Scan artifacts are byte-identical either way;
-	// verify.sh crawls the corpus both ways and compares digests.
-	DisableVM bool
-
 	// RecordBundle archives the scan into an execution bundle. Each worker
 	// records its own shard and the scheduler merges the shard bundles into
 	// one sealed archive — recording no longer forces a single worker, and
@@ -231,7 +226,6 @@ func RunScanObserved(world *websim.World, numSites int, opts ScanOptions, obs Pr
 				cfg.MaxRetries = opts.MaxRetries
 			}
 			cfg.BreakerThreshold = opts.BreakerThreshold
-			cfg.DisableVM = opts.DisableVM
 			switch {
 			case opts.ReplayBundle != nil:
 				// offline re-analysis: serve the archived crawl; the recorded

@@ -104,11 +104,6 @@ type Config struct {
 
 	// UserAgent derived string.
 	UserAgent string
-
-	// DisableVM runs page scripts on the minjs tree-walking interpreter
-	// instead of the bytecode VM. The two produce byte-identical artifacts;
-	// this is the escape hatch (and the differential-testing control).
-	DisableVM bool
 }
 
 // webglParamCountForVersion returns the flat WebGL parameter count per OS and

@@ -50,7 +50,6 @@ type DOM struct {
 // Build constructs the object model for cfg inside a fresh realm.
 func Build(cfg Config, host Host, url string) *DOM {
 	it := minjs.New()
-	it.NoVM = cfg.DisableVM
 	d := &DOM{
 		Cfg:           cfg,
 		It:            it,

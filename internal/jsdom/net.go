@@ -231,7 +231,9 @@ func (d *DOM) buildNet() {
 			return minjs.ObjectValue(d.Resolved(minjs.String(bodyStr))), nil
 		})
 		d.DefineMethod(resp, "json", func(it *minjs.Interp, this minjs.Value, args []minjs.Value) (minjs.Value, error) {
-			v, err := it.RunScript("("+bodyStr+")", "json")
+			// a JSON reader, never the script engine: the body is data from
+			// the server and must not run in the page
+			v, err := it.ParseJSON(bodyStr)
 			if err != nil {
 				p2 := d.newPromise()
 				d.settle(p2, minjs.ObjectValue(it.NewError("SyntaxError", "invalid JSON")), true)

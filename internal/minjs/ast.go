@@ -18,8 +18,8 @@ type Program struct {
 	Source string // full source text, used by Function.prototype.toString
 	Name   string // script URL or name, used in stack traces
 
-	// compiled is the bytecode produced by Compile; nil until compiled.
-	// RunProgram executes it instead of tree-walking unless Interp.NoVM.
+	// compiled is the bytecode produced by Compile; nil until compiled
+	// (RunProgram compiles on first run).
 	compiled *Code
 }
 

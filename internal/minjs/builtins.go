@@ -683,11 +683,7 @@ func installMathJSON(it *Interp) {
 		return String(s), nil
 	})))
 	j.SetNonEnum("parse", ObjectValue(it.NewNative("parse", func(it *Interp, this Value, args []Value) (Value, error) {
-		v, err := jsonParse(it, arg(args, 0).ToString())
-		if err != nil {
-			return Undefined(), it.ThrowError("SyntaxError", "JSON.parse: %s", err.Error())
-		}
-		return v, nil
+		return it.ParseJSON(arg(args, 0).ToString())
 	})))
 	it.Global.SetNonEnum("JSON", ObjectValue(j))
 }
@@ -745,21 +741,7 @@ func installGlobalsMisc(it *Interp) {
 			it.EvalHook(src.Str)
 		}
 		// indirect-eval semantics: run at global scope
-		frame := it.pushFrame(Frame{FnName: "eval", Script: "eval", Line: 1})
-		defer it.popFrame()
-		it.hoist(prog.Body, it.root)
-		var last Value
-		for _, st := range prog.Body {
-			v, err := it.evalStmt(st, it.root, frame)
-			if err != nil {
-				if rs, ok := err.(*returnSignal); ok {
-					return rs.val, nil
-				}
-				return Undefined(), err
-			}
-			last = v
-		}
-		return last, nil
+		return it.runTop(prog, "eval")
 	})))
 
 	// console.log collecting into it.ConsoleLog (the host may replace it).
@@ -851,6 +833,17 @@ func jsonStringify(v Value, seen map[*Object]bool) (string, error) {
 	}
 	b.WriteByte('}')
 	return b.String(), nil
+}
+
+// ParseJSON reads s as JSON into this realm's values, exactly as the
+// built-in JSON.parse does (and throwing the same SyntaxError) but without
+// going through the page-overridable global. Nothing in s is executed.
+func (it *Interp) ParseJSON(s string) (Value, error) {
+	v, err := jsonParse(it, s)
+	if err != nil {
+		return Undefined(), it.ThrowError("SyntaxError", "JSON.parse: %s", err.Error())
+	}
+	return v, nil
 }
 
 // jsonParse is a minimal JSON reader producing minjs values.

@@ -1,14 +1,17 @@
 package minjs
 
-// This file lowers minjs ASTs to the flat bytecode executed by vm.go. The
-// contract with the tree-walker in eval.go is strict observational parity:
-// identical values, identical error strings, identical step and alloc
-// counts, identical PropAccessHook sequences and identical stack traces.
-// Each opcode below therefore maps to a specific slice of the tree-walker's
-// behaviour, including its quirks (switch bodies never hoist function
-// declarations, `delete x` does not evaluate x, and so on). If you change
-// eval.go, change the corresponding opcode handler — the differential tests
-// in vm_test.go will hold you to it.
+import "fmt"
+
+// This file lowers minjs ASTs to the flat bytecode executed by vm.go, the
+// only engine production code runs. Its contract with the reference
+// tree-walker the tests keep as an oracle (oracle_test.go) is strict
+// observational parity: identical values, identical error strings,
+// identical step and alloc counts, identical PropAccessHook sequences and
+// identical stack traces. Each opcode below therefore maps to a specific
+// slice of the tree-walker's behaviour, including its quirks (switch bodies
+// never hoist function declarations, `delete x` does not evaluate x, and so
+// on). Change an opcode handler and the oracle together — the differential
+// tests in vm_test.go and the scan-parity test hold them to each other.
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -142,35 +145,16 @@ type Code struct {
 	poolScope bool
 }
 
-// bailout aborts compilation from deep inside the emitter when an AST shape
-// the compiler does not understand appears; Compile recovers it and leaves
-// the program uncompiled (the tree-walker remains correct for everything).
-type bailout struct{ n Node }
-
 // Compile lowers prog and every function literal it contains to bytecode.
-// It is idempotent, must not race with execution of the same Program, and
-// never fails: unsupported ASTs simply stay tree-walked.
+// It is idempotent and must not race with execution of the same Program.
+// The lowering is total: every statement, expression and operator the
+// parser can produce has a case (compile_test.go sweeps the parser's
+// operators), so reaching a default arm is a bug in this package and panics.
 func Compile(prog *Program) *Program {
 	if prog.compiled != nil {
 		return prog
 	}
 	pc := &progCompiler{atoms: newAtomTable()}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(bailout); ok {
-				// leave every Code unset: partial compilation of nested
-				// literals is harmless (their codes are discarded with the
-				// program flag unset) — but wipe them so the mixed state
-				// cannot dispatch half-compiled.
-				for _, lit := range pc.lits {
-					lit.compiled = nil
-				}
-				return
-			}
-			panic(r)
-		}
-		prog.compiled = pc.finish()
-	}()
 	c := &Code{}
 	cp := &compiler{p: pc, c: c}
 	cp.hoistOps(prog.Body)
@@ -178,29 +162,23 @@ func Compile(prog *Program) *Program {
 		cp.stmt(st, true)
 	}
 	pc.codes = append(pc.codes, c)
-	pc.top = c
+	for _, code := range pc.codes {
+		code.atoms = pc.atoms.atoms
+	}
+	prog.compiled = c
 	return prog
 }
 
-// MustCompile is Compile; the name documents call sites that rely on the
-// program actually being compiled (Compile never errors, it only bails out
-// to tree-walking on unsupported input).
-func MustCompile(prog *Program) *Program { return Compile(prog) }
+// noLowering reports a node or operator the compiler has no case for.
+func noLowering(what any) {
+	panic(fmt.Sprintf("minjs: no bytecode lowering for %#v", what))
+}
 
 // progCompiler holds per-program compilation state shared by all function
 // bodies: the interned atom table and the list of produced Codes.
 type progCompiler struct {
 	atoms *atomTable
 	codes []*Code
-	lits  []*FuncLit
-	top   *Code
-}
-
-func (p *progCompiler) finish() *Code {
-	for _, c := range p.codes {
-		c.atoms = p.atoms.atoms
-	}
-	return p.top
 }
 
 // compileFn lowers one function literal's body.
@@ -218,7 +196,6 @@ func (p *progCompiler) compileFn(lit *FuncLit) {
 		cp.stmt(st, false)
 	}
 	p.codes = append(p.codes, c)
-	p.lits = append(p.lits, lit)
 	lit.compiled = c
 }
 
@@ -665,7 +642,7 @@ func (cp *compiler) stmt(n Node, wantLast bool) {
 		}
 
 	default:
-		panic(bailout{n})
+		noLowering(n)
 	}
 }
 
@@ -745,7 +722,7 @@ func (cp *compiler) expr(n Node) {
 		cp.expr(x.R)
 		code, ok := binOpCodes[x.Op]
 		if !ok {
-			panic(bailout{n})
+			noLowering(n)
 		}
 		cp.emit(opBinary, code, 0)
 		cp.pop(1)
@@ -753,16 +730,9 @@ func (cp *compiler) expr(n Node) {
 	case *LogicalExpr:
 		cp.emit(opStep, 0, 0)
 		cp.expr(x.L)
-		var jop Op
-		switch x.Op {
-		case "&&":
-			jop = opAndJump
-		case "||":
-			jop = opOrJump
-		case "??":
-			jop = opNullishJump
-		default:
-			panic(bailout{n})
+		jop, ok := logicalJumps[x.Op]
+		if !ok {
+			noLowering(n)
 		}
 		j := cp.emit(jop, -1, 0)
 		cp.pop(1)
@@ -791,7 +761,7 @@ func (cp *compiler) expr(n Node) {
 			cp.expr(x.Val)
 			code, ok := binOpCodes[x.Op[:len(x.Op)-1]]
 			if !ok {
-				panic(bailout{n})
+				noLowering(n)
 			}
 			cp.emit(opBinary, code, 0)
 			cp.pop(1)
@@ -858,9 +828,13 @@ func (cp *compiler) expr(n Node) {
 		cp.push(1)
 
 	default:
-		panic(bailout{n})
+		noLowering(n)
 	}
 }
+
+// logicalJumps maps each short-circuit operator to the jump that skips its
+// right operand.
+var logicalJumps = map[string]Op{"&&": opAndJump, "||": opOrJump, "??": opNullishJump}
 
 // unary op codes for opUnary.
 const (
@@ -869,6 +843,10 @@ const (
 	unPlus
 	unBitNot
 )
+
+// unaryOpCodes maps the value-only unary operators to their opUnary code;
+// typeof, delete and prefix ++/-- have lowerings of their own.
+var unaryOpCodes = map[string]int32{"!": unNot, "-": unNeg, "+": unPlus, "~": unBitNot}
 
 func (cp *compiler) unary(x *UnaryExpr) {
 	switch x.Op {
@@ -911,24 +889,14 @@ func (cp *compiler) unary(x *UnaryExpr) {
 		cp.emit(opPreIncDec, delta, 0)
 		cp.store(x.X)
 
-	case "!":
-		cp.emit(opStep, 0, 0)
-		cp.expr(x.X)
-		cp.emit(opUnary, unNot, 0)
-	case "-":
-		cp.emit(opStep, 0, 0)
-		cp.expr(x.X)
-		cp.emit(opUnary, unNeg, 0)
-	case "+":
-		cp.emit(opStep, 0, 0)
-		cp.expr(x.X)
-		cp.emit(opUnary, unPlus, 0)
-	case "~":
-		cp.emit(opStep, 0, 0)
-		cp.expr(x.X)
-		cp.emit(opUnary, unBitNot, 0)
 	default:
-		panic(bailout{x})
+		code, ok := unaryOpCodes[x.Op]
+		if !ok {
+			noLowering(x)
+		}
+		cp.emit(opStep, 0, 0)
+		cp.expr(x.X)
+		cp.emit(opUnary, code, 0)
 	}
 }
 

@@ -59,13 +59,11 @@ type InterruptError struct{ Reason string }
 
 func (e *InterruptError) Error() string { return "script interrupted: " + e.Reason }
 
-// control-flow signals (never escape RunProgram/CallFunction).
+// control-flow signals. A break or continue outside any loop leaks one of
+// these out of RunProgram/CallFunction (a long-standing quirk both engines
+// keep).
 var errBreak = errors.New("minjs: break")
 var errContinue = errors.New("minjs: continue")
-
-type returnSignal struct{ val Value }
-
-func (*returnSignal) Error() string { return "minjs: return" }
 
 // Protos holds the intrinsic prototype objects of a realm.
 type Protos struct {
@@ -84,8 +82,8 @@ type Interp struct {
 	Global *Object
 	Protos Protos
 
-	// StepLimit bounds the number of AST nodes evaluated per RunProgram /
-	// host CallFunction entry; 0 means the default of 5 million.
+	// StepLimit bounds the number of AST nodes evaluated per outermost
+	// program run (see RunProgram); 0 means the default of 5 million.
 	StepLimit int64
 
 	// PropAccessHook, when set, observes every successful property read on
@@ -98,10 +96,6 @@ type Interp struct {
 
 	// ConsoleLog collects console.log/warn/error output.
 	ConsoleLog []string
-
-	// NoVM forces tree-walking evaluation even for compiled programs —
-	// the `-vm=off` escape hatch used by the differential parity tests.
-	NoVM bool
 
 	stack    []Frame // preallocated; never reallocates (maxDepth bound)
 	steps    int64
@@ -269,8 +263,9 @@ func (it *Interp) CaptureStack() string {
 // StackDepth reports the current JS call-stack depth.
 func (it *Interp) StackDepth() int { return len(it.stack) }
 
-// Steps reports AST nodes evaluated since the last RunProgram entry (the
-// counter resets per program, so after a run this is that program's cost).
+// Steps reports AST nodes evaluated since the last outermost program run
+// started (see RunProgram); after such a run it is that program's cost,
+// including any scripts it inserted and any code it eval'd.
 func (it *Interp) Steps() int64 { return it.steps }
 
 // Allocs reports objects allocated through the interpreter's constructors
@@ -302,40 +297,24 @@ func (it *Interp) CurrentScript() string {
 	return ""
 }
 
-func (it *Interp) step() error {
-	it.steps++
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = 5_000_000
-	}
-	if it.steps > limit {
-		return &InterruptError{Reason: "step limit exceeded"}
-	}
-	return nil
+// engine is the seam through which the package's tests swap the bytecode
+// VM for the reference tree-walker they keep as an oracle (oracle_test.go,
+// installed by export_test.go). It is nil in every non-test build, where the
+// VM is the only engine.
+type engine interface {
+	runTop(it *Interp, prog *Program, fnName string) (Value, error)
+	call(it *Interp, lit *FuncLit, fn *Object, this Value, args []Value) (Value, error)
 }
 
-// RunProgram executes a parsed program at the top level of the realm.
-// It resets the step counter, so each program gets a fresh budget.
+var oracle engine
+
+// RunProgram executes a program at the top level of the realm, compiling it
+// first if nobody has (programs shared between goroutines must be compiled
+// before they are shared). The outermost run — no script on the call stack —
+// starts a fresh step budget; a run nested inside a script, such as a
+// <script> element the script inserted, charges the running script's budget.
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
-	if prog.compiled != nil && !it.NoVM {
-		return it.runProgramVM(prog)
-	}
-	it.steps = 0
-	frame := it.pushFrame(Frame{FnName: "<toplevel>", Script: prog.Name, Line: 1})
-	defer it.popFrame()
-	it.hoist(prog.Body, it.root)
-	var last Value
-	for _, st := range prog.Body {
-		v, err := it.evalStmt(st, it.root, frame)
-		if err != nil {
-			if rs, ok := err.(*returnSignal); ok {
-				return rs.val, nil
-			}
-			return Undefined(), err
-		}
-		last = v
-	}
-	return last, nil
+	return it.runTop(prog, "<toplevel>")
 }
 
 // RunScript parses and executes src.
@@ -345,16 +324,6 @@ func (it *Interp) RunScript(src, name string) (Value, error) {
 		return Undefined(), err
 	}
 	return it.RunProgram(prog)
-}
-
-// hoist pre-declares function declarations in a statement list.
-func (it *Interp) hoist(body []Node, sc *Scope) {
-	for _, st := range body {
-		if fd, ok := st.(*FuncDecl); ok {
-			fn := it.makeFunction(fd.Fn, sc)
-			sc.declare(fd.Fn.Name, ObjectValue(fn))
-		}
-	}
 }
 
 // makeFunction instantiates a function object closing over sc. The "name",
@@ -423,35 +392,10 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	if lit.Arrow || fd.HasThisVal {
 		this = fd.ThisVal
 	}
-	if lit.compiled != nil && !it.NoVM {
-		return it.callCompiled(lit, fn, this, args)
+	if oracle != nil {
+		return oracle.call(it, lit, fn, this, args)
 	}
-	sc := it.newScopeIn(fd.Env, len(lit.Params)+2)
-	for i, p := range lit.Params {
-		if i < len(args) {
-			sc.declare(p, args[i])
-		} else {
-			sc.declare(p, Undefined())
-		}
-	}
-	if lit.UsesArguments {
-		sc.declare("arguments", ObjectValue(it.NewArrayP(args...)))
-	}
-	frame := it.pushFrame(Frame{FnName: lit.Name, Script: lit.Script, Line: lit.Line})
-	defer it.popFrame()
-	it.hoist(lit.Body, sc)
-	savedThis := it.curThis
-	it.curThis = this
-	defer func() { it.curThis = savedThis }()
-	for _, st := range lit.Body {
-		if _, err := it.evalStmt(st, sc, frame); err != nil {
-			if rs, ok := err.(*returnSignal); ok {
-				return rs.val, nil
-			}
-			return Undefined(), err
-		}
-	}
-	return Undefined(), nil
+	return it.callCompiled(lit, fn, this, args)
 }
 
 // Construct implements `new fn(args)`.

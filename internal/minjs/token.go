@@ -5,9 +5,11 @@
 // getters and setters, prototype chains, closures, Function.prototype.toString,
 // for…in enumeration, try/catch with Error stack traces, eval, and a host
 // function bridge through which a browser object model (package jsdom) is
-// exposed. It is a tree-walking interpreter: scripts are parsed into an AST
-// once (ASTs are safe for reuse across interpreter instances) and evaluated
-// against a Realm holding the global object.
+// exposed. Scripts are parsed into an AST, compiled once to bytecode
+// (compiled programs are safe for reuse across interpreter instances) and
+// run on a VM against a realm holding the global object. The VM is the only
+// engine; the tree-walker it was built against survives in the package's
+// tests as the reference oracle for differential testing.
 package minjs
 
 import "fmt"

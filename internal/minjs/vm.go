@@ -14,14 +14,25 @@ const (
 	sigReturn
 )
 
-// runProgramVM executes a compiled program's toplevel code. Behaviour is
-// bit-identical to the tree-walking RunProgram: same step accounting, same
-// completion value, and the same quirk that a stray toplevel break leaks
-// errBreak to the host.
-func (it *Interp) runProgramVM(prog *Program) (Value, error) {
+// runTop is the one top-level runner: RunProgram, RunScript and eval all
+// come through it. fnName names the frame ("<toplevel>", or "eval" for
+// eval, which runs at global scope). Only the outermost entry — no script
+// frame on the stack — starts a fresh step budget: a nested run (an
+// inserted <script>, eval) charges the budget of the script that caused it,
+// so a loop that keeps inserting scripts still hits StepLimit. A stray
+// toplevel break or continue leaks errBreak/errContinue to the host.
+func (it *Interp) runTop(prog *Program, fnName string) (Value, error) {
+	if prog.compiled == nil {
+		Compile(prog)
+	}
+	if len(it.stack) == 0 {
+		it.steps = 0
+	}
+	if oracle != nil {
+		return oracle.runTop(it, prog, fnName)
+	}
 	c := prog.compiled
-	it.steps = 0
-	frame := it.pushFrame(Frame{FnName: "<toplevel>", Script: prog.Name, Line: 1})
+	frame := it.pushFrame(Frame{FnName: fnName, Script: prog.Name, Line: 1})
 	savedLast := it.lastVal // reentrant: timers/events can nest program runs
 	it.lastVal = Undefined()
 	it.ensureStack(int(c.maxStack))
@@ -80,7 +91,7 @@ func (it *Interp) callCompiled(lit *FuncLit, fn *Object, this Value, args []Valu
 	case sigReturn:
 		return rv, nil
 	case sigBreak:
-		// bug-compat with the tree-walker: break outside a loop leaks
+		// break outside a loop leaks, as at the top level
 		return Undefined(), errBreak
 	case sigContinue:
 		return Undefined(), errContinue

@@ -22,18 +22,15 @@ type diffOutcome struct {
 	hooks  string
 }
 
-func runEngine(t *testing.T, src string, novm bool) diffOutcome {
+func runEngine(t *testing.T, src string, onOracle bool) diffOutcome {
 	t.Helper()
 	prog, err := Parse(src, "diff.js")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	Compile(prog)
-	if prog.compiled == nil {
-		t.Fatalf("compiler bailed out on supported input:\n%s", src)
-	}
+	UseOracle(onOracle)
+	defer UseOracle(false)
 	it := New()
-	it.NoVM = novm
 	var hooks strings.Builder
 	it.PropAccessHook = func(owner *Object, key string) {
 		hooks.WriteString(owner.Class)
@@ -217,8 +214,8 @@ var vmCorpus = []string{
 	`Date.now() >= 0`,
 	`console.log("one", 2, {k: 1}); console.warn("w"); console.error("e"); "done"`,
 	`var s = ""; for (var i = 0; i < 100; i++) s += "x"; s.length`,
-	// eval interplay: eval'd code tree-walks, closures it defines are called
-	// from compiled code and vice versa
+	// eval interplay: closures eval defines are called from the calling
+	// program's code and vice versa
 	`eval("var ev = 1; function evf(){ return ev + 1 }"); evf()`,
 	`var f = eval("(function(a){ return a * 3 })"); f(5)`,
 	// getter/setter side-effect ordering
@@ -246,6 +243,23 @@ var vmCorpus = []string{
 	`"abc"[10] === undefined`,
 	`var o = {}; o[true] = "t"; o[null] = "n"; o["true"] + o["null"]`,
 	`var i = 0; var a = [0, 0]; a[i++] = "x"; a[i] = "y"; a.join(",")`,
+	// eval runs through the same top-level runner as programs: a throw
+	// carries an "eval" frame, declarations land on the global object from
+	// any depth, nesting works, a stray break leaks like at top level, and
+	// eval'd code is charged to the calling program's step budget
+	`var st; try { eval("var q = 1;\nthrow new Error('in eval')") } catch (e) { st = e.message + "|" + e.stack } st`,
+	`function outer(){ return eval("function boom(){ return new Error('deep').stack }\nboom()") } outer()`,
+	`function f(){ eval("var gv = 7; function gf(){ return gv * 2 }") } f(); gv + gf() + typeof globalThis.gf`,
+	`eval("eval('var deep = 3; deep + 1')") + deep`,
+	`eval("break")`,
+	`function f(){ eval("continue") } f()`,
+	`var r = "none"; try { eval("break") } catch (e) { r = "caught" } r`,
+	`var n = 0, i = 0; while (i < 5) { eval("n += i; if (n > 3) n++"); i++ } n`,
+	`var f = eval("(function(k){ var s = 0; for (var j = 0; j < k; j++) s += j; return s })"); f(10) + f(20)`,
+	`eval("1; 2; var v = 3") + ":" + eval("v; 4")`,
+	`eval("")`,
+	`eval(42)`,
+	`var r; try { eval("var = 1") } catch (e) { r = e.name } r`,
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -258,25 +272,47 @@ func TestVMDifferentialCorpus(t *testing.T) {
 }
 
 // TestVMStepLimitParity pins interrupt behaviour: both engines must stop at
-// the same step count with the same error.
+// the same step count with the same error, including inside eval'd code,
+// which draws on the calling program's budget.
 func TestVMStepLimitParity(t *testing.T) {
-	src := `var n = 0; while (true) { n++ }`
-	prog := MustParse(src, "limit.js")
-	Compile(prog)
-	run := func(novm bool) (int64, string) {
-		it := New()
-		it.NoVM = novm
-		it.StepLimit = 10000
-		_, err := it.RunProgram(prog)
-		if err == nil {
-			t.Fatal("expected interrupt")
+	for _, src := range []string{
+		`var n = 0; while (true) { n++ }`,
+		`var n = 0; eval("while (true) { n++ }")`,
+	} {
+		prog := MustParse(src, "limit.js")
+		Compile(prog)
+		run := func(onOracle bool) (int64, string) {
+			UseOracle(onOracle)
+			defer UseOracle(false)
+			it := New()
+			it.StepLimit = 10000
+			_, err := it.RunProgram(prog)
+			if err == nil {
+				t.Fatal("expected interrupt")
+			}
+			return it.Steps(), err.Error()
 		}
-		return it.Steps(), err.Error()
+		ts, te := run(true)
+		vs, ve := run(false)
+		if ts != vs || te != ve {
+			t.Fatalf("%s: interrupt mismatch: tree (%d, %q) vm (%d, %q)", src, ts, te, vs, ve)
+		}
+		if ts != 10001 {
+			t.Errorf("%s: interrupted after %d steps, want the 10000-step budget plus the step that broke it", src, ts)
+		}
 	}
-	ts, te := run(true)
-	vs, ve := run(false)
-	if ts != vs || te != ve {
-		t.Fatalf("interrupt mismatch: tree (%d, %q) vm (%d, %q)", ts, te, vs, ve)
+}
+
+// TestEvalRunsOnTheVM checks that eval'd code is compiled: a function it
+// declares carries bytecode.
+func TestEvalRunsOnTheVM(t *testing.T) {
+	it := New()
+	if _, err := it.RunScript(`eval("function ef(){ return 1 }")`, "e.js"); err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := it.GetMember(ObjectValue(it.Global), "ef")
+	if !fn.IsFunction() || fn.Obj.fnd.Fn.compiled == nil {
+		t.Fatalf("eval-declared function has no bytecode: %+v", fn)
 	}
 }
 
@@ -325,9 +361,9 @@ func TestVMToplevelBreakLeak(t *testing.T) {
 	for _, src := range []string{`break`, `continue`} {
 		prog := MustParse(src, "leak.js")
 		Compile(prog)
-		tIt := New()
-		tIt.NoVM = true
-		_, treeErr := tIt.RunProgram(prog)
+		UseOracle(true)
+		_, treeErr := New().RunProgram(prog)
+		UseOracle(false)
 		vIt := New()
 		_, vmErr := vIt.RunProgram(prog)
 		if fmt.Sprint(treeErr) != fmt.Sprint(vmErr) {
