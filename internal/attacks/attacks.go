@@ -101,6 +101,49 @@ const SilentPayload = `(function () {
     window.__silentPayloadRan = probe.length > 0;
 }());`
 
+// InstallTamperFixture is a page that rewrites a subframe's realm between
+// the frame's creation and the vanilla instrument's install tick (the
+// Sec. 5.4.1 window), then probes the frame's instrumented APIs.
+type InstallTamperFixture struct {
+	Name    string
+	Payload string
+}
+
+// InstallTamperFixtures each change, in a fresh frame, one piece of realm
+// state the instrument's injected script reads while it installs. The
+// instrument must then install exactly as its script does in that realm.
+var InstallTamperFixtures = []InstallTamperFixture{
+	{"replaced Object.defineProperty",
+		tamperFramePayload(`w.Object.defineProperty = function (o, k, d) { return o; };`)},
+	{"Object.prototype.get accessor",
+		tamperFramePayload(`Object.defineProperty(w.Object.prototype, "get", {
+        get: function () { return function () { return "spoofed"; }; },
+        configurable: true });`)},
+	{"redefined window.navigator",
+		tamperFramePayload(`Object.defineProperty(w, "navigator", {
+        value: { userAgent: "spoofed" }, configurable: true, enumerable: true });`)},
+	{"non-configurable Navigator.platform",
+		tamperFramePayload(`Object.defineProperty(w.Navigator.prototype, "platform", {
+        get: function () { return "pinned"; }, configurable: false, enumerable: true });`)},
+}
+
+// tamperFramePayload creates a frame, applies tamper to its window w before
+// the frame's install tick, and probes the frame half a second later.
+func tamperFramePayload(tamper string) string {
+	return `var f = document.createElement("iframe");
+f.src = "/unobserved-iframe.html";
+document.getElementById("unobserved").appendChild(f);
+var w = f.contentWindow;
+` + tamper + `
+setTimeout(function () {
+    var c = w.document.createElement("canvas");
+    window.__probe = w.navigator.userAgent + "|" + w.navigator.platform + "|" +
+        w.screen.width + "|" + w.document.cookie + "|" + typeof c.toDataURL;
+    c.getContext("2d");
+    w.navigator.javaEnabled();
+}, 500);`
+}
+
 // AttackPageHTML wraps a payload in a minimal page, with the container
 // element the iframe attack needs.
 func AttackPageHTML(payload string) string {

@@ -634,11 +634,17 @@ func (b *Browser) FinalURL() string { return b.finalURL }
 
 // InjectPageProgram runs prog in the page context by injecting a DOM script
 // node — OpenWPM's vanilla approach. It is subject to the page's CSP.
-// Instrumentation passes one compiled program for every page.
-func (b *Browser) InjectPageProgram(d *jsdom.DOM, prog *minjs.Program) error {
+// Instrumentation passes one compiled program for every page. A non-nil
+// replay is tried first, once the CSP allows the injection: it reports
+// whether it reproduced prog's run on d by other means, and prog runs only
+// when it did not.
+func (b *Browser) InjectPageProgram(d *jsdom.DOM, prog *minjs.Program, replay func() bool) error {
 	if b.csp.Present && !b.csp.AllowsInline() {
 		b.reportCSPViolation()
 		return ErrCSPBlocked
+	}
+	if replay != nil && replay() {
+		return nil
 	}
 	_, err := d.It.RunProgram(prog)
 	return err

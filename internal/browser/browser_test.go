@@ -181,7 +181,7 @@ func TestCSPBlocksInlineAndInjection(t *testing.T) {
 		t.Error("allowed self script did not run")
 	}
 	// vanilla-style DOM injection is blocked too
-	err = b.InjectPageProgram(b.Top, minjs.MustParse("var injected = 1;", "inject.js"))
+	err = b.InjectPageProgram(b.Top, minjs.MustParse("var injected = 1;", "inject.js"), nil)
 	if err != ErrCSPBlocked {
 		t.Errorf("InjectPageProgram err = %v, want ErrCSPBlocked", err)
 	}

@@ -372,6 +372,9 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	}
 	d.mu.Unlock()
 
+	// the status as of admission: once admitted, an executor may already be
+	// running the job by the time Submit returns
+	admitted := j.Status()
 	if err := d.queue.Admit(j, false); err != nil {
 		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", rejectReason(err))).Inc()
 		return JobStatus{}, err
@@ -385,7 +388,7 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 	d.jobs[addr] = j
 	d.mu.Unlock()
 	d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
-	return j.Status(), nil
+	return admitted, nil
 }
 
 func rejectReason(err error) string {

@@ -109,11 +109,12 @@ func installBuiltins(it *Interp) {
 		return ObjectValue(it.NewObjectP()), nil
 	})
 	objectCtor.SetNonEnum("prototype", ObjectValue(op))
-	objectCtor.SetNonEnum("defineProperty", ObjectValue(it.NewNative("defineProperty", func(it *Interp, this Value, args []Value) (Value, error) {
+	objectCtor.SetNonEnum("defineProperty", ObjectValue(it.newTracedNative("defineProperty", func(it *Interp, this Value, args []Value) (Value, error) {
 		ov, kv, dv := arg(args, 0), arg(args, 1), arg(args, 2)
 		if !ov.IsObject() || !dv.IsObject() {
 			return Undefined(), it.ThrowError("TypeError", "Object.defineProperty called on non-object")
 		}
+		it.traceConv(kv)
 		key := kv.ToString()
 		desc := dv.Obj
 		prop := &Property{Configurable: truthyProp(it, desc, "configurable"), Enumerable: truthyProp(it, desc, "enumerable"), Writable: truthyProp(it, desc, "writable")}
@@ -131,6 +132,7 @@ func installBuiltins(it *Interp) {
 			val, _ := it.GetMember(dv, "value")
 			prop.Value = val
 		}
+		it.traceOwn(ov.Obj, key)
 		existing := ov.Obj.GetOwn(key)
 		if existing != nil && !existing.Configurable {
 			return Undefined(), it.ThrowError("TypeError", "can't redefine non-configurable property %q", key)
@@ -138,12 +140,15 @@ func installBuiltins(it *Interp) {
 		ov.Obj.DefineProperty(key, prop)
 		return ov, nil
 	})))
-	objectCtor.SetNonEnum("getOwnPropertyDescriptor", ObjectValue(it.NewNative("getOwnPropertyDescriptor", func(it *Interp, this Value, args []Value) (Value, error) {
+	objectCtor.SetNonEnum("getOwnPropertyDescriptor", ObjectValue(it.newTracedNative("getOwnPropertyDescriptor", func(it *Interp, this Value, args []Value) (Value, error) {
 		ov := arg(args, 0)
 		if !ov.IsObject() {
 			return Undefined(), nil
 		}
-		p := ov.Obj.GetOwn(arg(args, 1).ToString())
+		it.traceConv(arg(args, 1))
+		key := arg(args, 1).ToString()
+		it.traceOwn(ov.Obj, key)
+		p := ov.Obj.GetOwn(key)
 		if p == nil {
 			return Undefined(), nil
 		}
@@ -183,10 +188,13 @@ func installBuiltins(it *Interp) {
 		}
 		return ObjectValue(it.NewArrayP(vals...)), nil
 	})))
-	objectCtor.SetNonEnum("getPrototypeOf", ObjectValue(it.NewNative("getPrototypeOf", func(it *Interp, this Value, args []Value) (Value, error) {
+	objectCtor.SetNonEnum("getPrototypeOf", ObjectValue(it.newTracedNative("getPrototypeOf", func(it *Interp, this Value, args []Value) (Value, error) {
 		ov := arg(args, 0)
 		if !ov.IsObject() {
 			return Null(), nil
+		}
+		if it.Tracer != nil {
+			it.Tracer.ProtoRead(ov.Obj)
 		}
 		return ObjectValue(ov.Obj.Proto), nil
 	})))

@@ -94,8 +94,17 @@ type Interp struct {
 	// EvalHook, when set, observes every dynamically evaluated source text.
 	EvalHook func(src string)
 
+	// Tracer, when set, is told every piece of realm state running scripts
+	// consult (trace.go). While it is set the VM bypasses its inline caches
+	// and array fast paths, so no lookup goes unreported.
+	Tracer Tracer
+
 	// ConsoleLog collects console.log/warn/error output.
 	ConsoleLog []string
+
+	// tracedNatives are this realm's host functions that report their
+	// reads to Tracer (trace.go).
+	tracedNatives [3]*Object
 
 	stack    []Frame // preallocated; never reallocates (maxDepth bound)
 	steps    int64
@@ -253,6 +262,7 @@ func (it *Interp) ThrowError(name, format string, args ...any) error {
 
 // CaptureStack renders the current call stack Firefox-style, innermost first.
 func (it *Interp) CaptureStack() string {
+	it.traceOpaque()
 	b := make([]byte, 0, 64*len(it.stack))
 	for i := len(it.stack) - 1; i >= 0; i-- {
 		b = it.stack[i].appendTo(b)
@@ -267,6 +277,40 @@ func (it *Interp) StackDepth() int { return len(it.stack) }
 // started (see RunProgram); after such a run it is that program's cost,
 // including any scripts it inserted and any code it eval'd.
 func (it *Interp) Steps() int64 { return it.steps }
+
+// Charge accounts for a program run that was reproduced rather than
+// executed, exactly as RunProgram would have: the outermost run (no frame on
+// the stack) starts a fresh step budget, a nested one adds to the running
+// budget, and the run's allocations join the realm's count.
+func (it *Interp) Charge(steps, allocs int64) {
+	if len(it.stack) == 0 {
+		it.steps = 0
+	}
+	it.steps += steps
+	it.allocs += allocs
+}
+
+// ReplayFits reports whether a program run costing steps, whose calls start
+// with at most depth frames on the stack above its own entry, would finish
+// if it started now: within the step limit, below the recursion limit, and
+// with no dynamic this in effect (a top-level run sees the global object).
+// Under those conditions the run's effects do not depend on where it
+// starts, so Charge may stand in for executing it.
+func (it *Interp) ReplayFits(steps int64, depth int) bool {
+	base := it.steps
+	if len(it.stack) == 0 {
+		base = 0
+	}
+	return base+steps <= it.stepLimit() && len(it.stack)+depth < it.maxDepth && it.curThis.Kind == KindUndefined
+}
+
+// stepLimit is StepLimit with its default applied.
+func (it *Interp) stepLimit() int64 {
+	if it.StepLimit == 0 {
+		return 5_000_000
+	}
+	return it.StepLimit
+}
 
 // Allocs reports objects allocated through the interpreter's constructors
 // over the realm's lifetime; callers interested in one program take deltas.
@@ -380,6 +424,12 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 	if fd == nil || (fd.Fn == nil && fd.Native == nil) {
 		return Undefined(), it.ThrowError("TypeError", "value is not a function")
 	}
+	if it.Tracer != nil {
+		it.Tracer.Call(fn, len(it.stack))
+		if fd.Native != nil && !it.tracesReads(fn) {
+			it.Tracer.Opaque()
+		}
+	}
 	if len(it.stack) >= it.maxDepth {
 		return Undefined(), it.ThrowError("InternalError", "too much recursion")
 	}
@@ -389,8 +439,11 @@ func (it *Interp) CallFunction(fn *Object, this Value, args []Value) (Value, err
 		return fd.Native(it, this, args)
 	}
 	lit := fd.Fn
-	if lit.Arrow || fd.HasThisVal {
-		this = fd.ThisVal
+	if lit.Arrow {
+		this = Undefined()
+		if fd.arrowThis != nil {
+			this = *fd.arrowThis
+		}
 	}
 	if oracle != nil {
 		return oracle.call(it, lit, fn, this, args)

@@ -70,10 +70,7 @@ func (*returnSignal) Error() string { return "minjs: return" }
 // step charges one unit of the step budget, like the VM's opStmt/opStep.
 func (it *Interp) step() error {
 	it.steps++
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = 5_000_000
-	}
+	limit := it.stepLimit()
 	if it.steps > limit {
 		return &InterruptError{Reason: "step limit exceeded"}
 	}
@@ -424,10 +421,11 @@ func (it *Interp) evalExpr(n Node, sc *Scope, frame *Frame) (Value, error) {
 	case *FuncLit:
 		fn := it.makeFunction(x, sc)
 		if x.Arrow {
-			fn.fnd.ThisVal = it.curThis
-			if fn.fnd.ThisVal.Kind == KindUndefined {
-				fn.fnd.ThisVal = ObjectValue(it.Global)
+			this := it.curThis
+			if this.Kind == KindUndefined {
+				this = ObjectValue(it.Global)
 			}
+			fn.fnd.arrowThis = &this
 		}
 		return ObjectValue(fn), nil
 

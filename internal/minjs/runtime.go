@@ -31,7 +31,7 @@ func (it *Interp) lookupIdent(name string, sc *Scope) (Value, error) {
 			// of Has + GetMember doing the same walk twice. The global is a
 			// plain host object (never an Array or function), so the member
 			// fast paths and intrinsics in getMember cannot apply.
-			if owner, prop := cur.global.FindProperty(name); prop != nil {
+			if owner, prop := it.findProperty(cur.global, name); prop != nil {
 				if it.PropAccessHook != nil {
 					it.PropAccessHook(owner, name)
 				}
@@ -77,7 +77,7 @@ func (it *Interp) lookupIdentVM(name string, sc *Scope, e *icEntry) (Value, erro
 				return e.prop.Value, nil
 			}
 		}
-		owner, prop := g.FindProperty(name)
+		owner, prop := it.findProperty(g, name)
 		if prop == nil {
 			continue
 		}
@@ -151,6 +151,13 @@ var binOpCodes = map[string]int32{
 }
 
 func (it *Interp) binop(code int32, l, r Value) (Value, error) {
+	if it.Tracer != nil && code != binStrictEq && code != binStrictNe && code != binInstanceof {
+		// every other operator may convert an object operand (binIn its key)
+		it.traceConv(l)
+		if code != binIn {
+			it.traceConv(r)
+		}
+	}
 	switch code {
 	case binAdd:
 		if l.Kind == KindString || r.Kind == KindString ||
@@ -221,7 +228,7 @@ func (it *Interp) binop(code int32, l, r Value) (Value, error) {
 		if !r.IsObject() {
 			return Undefined(), it.ThrowError("TypeError", "'in' requires an object")
 		}
-		return Boolean(r.Obj.Has(l.ToString())), nil
+		return Boolean(it.has(r.Obj, l.ToString())), nil
 	case binInstanceof:
 		if !r.IsFunction() {
 			return Undefined(), it.ThrowError("TypeError", "right-hand side of instanceof is not callable")
@@ -233,9 +240,15 @@ func (it *Interp) binop(code int32, l, r Value) (Value, error) {
 		if !l.IsObject() {
 			return Boolean(false), nil
 		}
+		if it.Tracer != nil {
+			it.Tracer.ProtoRead(l.Obj)
+		}
 		for cur := l.Obj.Proto; cur != nil; cur = cur.Proto {
 			if cur == pv.Obj {
 				return Boolean(true), nil
+			}
+			if it.Tracer != nil {
+				it.Tracer.ProtoRead(cur)
 			}
 		}
 		return Boolean(false), nil
@@ -273,16 +286,18 @@ func (it *Interp) getMember(objV Value, key string) (Value, *Object, *Property, 
 	// array fast paths
 	if o.Class == "Array" {
 		if key == "length" {
+			it.traceOwn(o, key)
 			return Int(len(o.Elems)), nil, nil, nil
 		}
 		if idx, ok := arrayIndex(key); ok {
+			it.traceOwn(o, key)
 			if idx < len(o.Elems) {
 				return o.Elems[idx], nil, nil, nil
 			}
 			return Undefined(), nil, nil, nil
 		}
 	}
-	owner, prop := o.FindProperty(key)
+	owner, prop := it.findProperty(o, key)
 	if prop == nil {
 		if v, ok := it.functionIntrinsic(o, key); ok {
 			return v, nil, nil, nil
@@ -304,7 +319,7 @@ func (it *Interp) getMember(objV Value, key string) (Value, *Object, *Property, 
 
 // protoMember resolves key on a primitive's prototype, binding `this`.
 func (it *Interp) protoMember(proto *Object, this Value, key string) (Value, error) {
-	owner, prop := proto.FindProperty(key)
+	owner, prop := it.findProperty(proto, key)
 	if prop == nil {
 		return Undefined(), nil
 	}
@@ -335,6 +350,7 @@ func (it *Interp) stringMember(s, key string) (Value, error) {
 
 // setMember writes property key on o, honouring setters along the chain.
 func (it *Interp) setMember(o *Object, key string, val Value) error {
+	it.traceOwn(o, key)
 	if o.Class == "Array" {
 		if key == "length" {
 			n := int(val.ToNumber())
@@ -371,7 +387,7 @@ func (it *Interp) setMember(o *Object, key string, val Value) error {
 		return nil
 	}
 	// inherited accessor?
-	if _, prop := o.FindProperty(key); prop != nil && prop.Accessor {
+	if _, prop := it.findProperty(o, key); prop != nil && prop.Accessor {
 		if prop.Set == nil {
 			return nil
 		}

@@ -2,6 +2,8 @@ package minjs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"gullible/internal/experiments"
@@ -14,7 +16,9 @@ import (
 // runs (world seed 42, no faults), recorded once on the bytecode VM and once
 // on the reference tree-walker, must seal byte-identical execution bundles.
 // Any drift in values, errors, step accounting or property-access order
-// between the engines shows up here as a bundle delta.
+// between the engines shows up here as a bundle delta. The VM's artifacts
+// are also pinned to the ones the scan sealed before the instrument's
+// install plan existed, so drift that both engines share fails too.
 func TestScanBundleMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 500-site synthetic-web crawls; skipped in -short mode")
@@ -47,6 +51,19 @@ func TestScanBundleMatchesOracle(t *testing.T) {
 	}
 
 	vm := record(false)
+	const (
+		pinnedBundleDigest  = "ca2ea63b7385f561be7d7d2bb7296da09e0481c9e2b80a65e4314639c130c599"
+		pinnedBundleSHA256  = "7f95b3a3f9716a5beb4e3aa517db15d0a0d00fd9831e84ed0799c7662c431a60"
+		pinnedStorageDigest = "85c9e39ff3baf3167314d08e769404904f85fe4265e8f1420a321a096e2e810b"
+	)
+	sum := sha256.Sum256(vm.bundle)
+	if vm.digest != pinnedBundleDigest || hex.EncodeToString(sum[:]) != pinnedBundleSHA256 {
+		t.Errorf("bundle drifted from the pinned artifact: digest %s, sha256 %x (want %s, %s)",
+			vm.digest, sum, pinnedBundleDigest, pinnedBundleSHA256)
+	}
+	if vm.storageDigest != pinnedStorageDigest {
+		t.Errorf("storage digest %s drifted from the pinned %s", vm.storageDigest, pinnedStorageDigest)
+	}
 	oracle := record(true)
 
 	if vm.storageDigest != oracle.storageDigest {

@@ -9,7 +9,10 @@
 // (compiled programs are safe for reuse across interpreter instances) and
 // run on a VM against a realm holding the global object. The VM is the only
 // engine; the tree-walker it was built against survives in the package's
-// tests as the reference oracle for differential testing.
+// tests as the reference oracle for differential testing. A host can record
+// what a run read from its realm (Tracer) and what it created (Graph), and
+// reproduce the run in another realm without executing it (Graph.Instantiate,
+// Interp.Charge).
 package minjs
 
 import "fmt"

@@ -300,9 +300,9 @@ type Object struct {
 	// so each new property does not cost its own heap object, and carries the
 	// backing array for the small entry slice so a 1-4 property object makes
 	// exactly one property-storage allocation. Pointers into a chunk stay
-	// valid forever (chunks are never reused or grown).
-	chunk     *propChunk
-	chunkUsed uint8
+	// valid forever (chunks are never reused or grown). chunkUsed sits
+	// with the other small fields below, packed for size.
+	chunk *propChunk
 
 	// fnd holds the callable-only slots, allocated once per function
 	// object; the far more numerous plain objects pay one nil pointer.
@@ -317,6 +317,7 @@ type Object struct {
 
 	// NotExtensible prevents adding new properties (Object.freeze-lite).
 	NotExtensible bool
+	chunkUsed     uint8
 
 	// ver counts structural mutations (property add/replace/delete). The
 	// VM's inline caches validate against it; in-place data writes through
@@ -327,10 +328,11 @@ type Object struct {
 // fnData is the function half of an Object: exactly one of Fn/Native is set
 // for callables.
 type fnData struct {
-	Fn         *FuncLit // script function body
-	Env        *Scope   // closure environment for script functions
-	ThisVal    Value    // bound this for arrow functions / bind
-	HasThisVal bool
+	Fn  *FuncLit // script function body
+	Env *Scope   // closure environment for script functions
+	// arrowThis is the this an arrow function closed over; nil for every
+	// other function, so the common case costs a pointer, not a Value
+	arrowThis  *Value
 	Native     NativeFunc // host function
 	NativeName string     // name reported by native toString
 	// ToStringOverride, when non-empty, is returned by

@@ -181,11 +181,11 @@ func (it *Interp) exec(c *Code, lo, hi int32, sc *Scope, frame *Frame) (Value, b
 	base := it.vsp
 	entrySc := sc
 	sp := base
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = 5_000_000
+	limit := it.stepLimit()
+	var ics []icEntry
+	if it.Tracer == nil {
+		ics = it.icsFor(c)
 	}
-	ics := it.icsFor(c)
 	var rv Value
 	var rsig byte
 	var rerr error
@@ -282,10 +282,11 @@ run:
 			lit := c.fns[in.a]
 			fn := it.makeFunction(lit, sc)
 			if lit.Arrow {
-				fn.fnd.ThisVal = it.curThis
-				if fn.fnd.ThisVal.Kind == KindUndefined {
-					fn.fnd.ThisVal = ObjectValue(it.Global)
+				this := it.curThis
+				if this.Kind == KindUndefined {
+					this = ObjectValue(it.Global)
 				}
+				fn.fnd.arrowThis = &this
 			}
 			it.vs[sp] = ObjectValue(fn)
 			sp++
@@ -386,6 +387,9 @@ run:
 
 		case opUnary:
 			v := it.vs[sp-1]
+			if in.a != unNot {
+				it.traceConv(v)
+			}
 			switch in.a {
 			case unNot:
 				it.vs[sp-1] = Boolean(!v.Truthy())
@@ -467,7 +471,7 @@ run:
 			kv := it.vs[sp-1]
 			objV := it.vs[sp-2]
 			sp -= 2
-			if kv.Kind == KindNumber {
+			if kv.Kind == KindNumber && it.Tracer == nil {
 				f := kv.Num
 				idx := int(f)
 				if float64(idx) == f && idx >= 0 && !(f == 0 && math.Signbit(f)) {
@@ -492,6 +496,7 @@ run:
 				}
 			}
 			it.vsp = sp
+			it.traceConv(kv)
 			v, _, _, err := it.getMember(objV, kv.ToString())
 			if err != nil {
 				rerr = err
@@ -524,7 +529,7 @@ run:
 				rerr = it.ThrowError("TypeError", "cannot set property %q on %s", kv.ToString(), objV.TypeOf())
 				break run
 			}
-			if kv.Kind == KindNumber && objV.Obj.Class == "Array" {
+			if kv.Kind == KindNumber && objV.Obj.Class == "Array" && it.Tracer == nil {
 				f := kv.Num
 				idx := int(f)
 				if float64(idx) == f && idx >= 0 && !(f == 0 && math.Signbit(f)) {
@@ -537,6 +542,7 @@ run:
 				}
 			}
 			it.vsp = sp
+			it.traceConv(kv)
 			if err := it.setMember(objV.Obj, kv.ToString(), val); err != nil {
 				rerr = err
 				break run
@@ -547,6 +553,7 @@ run:
 			if !objV.IsObject() {
 				it.vs[sp-1] = Boolean(true)
 			} else {
+				it.traceOwn(objV.Obj, c.atoms[in.a])
 				it.vs[sp-1] = Boolean(objV.Obj.Delete(c.atoms[in.a]))
 			}
 
@@ -557,6 +564,8 @@ run:
 			if !objV.IsObject() {
 				it.vs[sp-1] = Boolean(true)
 			} else {
+				it.traceConv(kv)
+				it.traceOwn(objV.Obj, kv.ToString())
 				it.vs[sp-1] = Boolean(objV.Obj.Delete(kv.ToString()))
 			}
 
@@ -634,6 +643,7 @@ run:
 		case opMethodC:
 			kv := it.vs[sp-1]
 			objV := it.vs[sp-2]
+			it.traceConv(kv)
 			key := kv.ToString()
 			sp-- // receiver stays on the stack as `this`
 			it.vsp = sp
@@ -883,7 +893,7 @@ func (it *Interp) execForIn(c *Code, aux *forInAux, objV Value, sc *Scope, frame
 			inner.declare(name, v)
 		} else if slot := lookupSlot(inner, name); slot != nil {
 			*slot = v
-		} else if it.Global.Has(name) {
+		} else if it.has(it.Global, name) {
 			if err := it.setMember(it.Global, name, v); err == nil {
 				return
 			}
@@ -908,6 +918,10 @@ func (it *Interp) execForIn(c *Code, aux *forInAux, objV Value, sc *Scope, frame
 	done := func(rv Value, sig byte, err error) (Value, byte, error) {
 		it.releaseScope(inner)
 		return rv, sig, err
+	}
+	if objV.IsObject() {
+		// an object's keys or elements are read wholesale
+		it.traceOpaque()
 	}
 	if aux.of {
 		switch {

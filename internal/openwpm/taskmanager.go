@@ -788,7 +788,7 @@ func (tm *TaskManager) CrawlFromHooked(urls []string, cp *Checkpoint, h CrawlHoo
 				telemetry.L("completed", fmt.Sprint(r.Completed)))
 			tm.crawlSpan = 0
 		}
-		r.Metrics = tel.Snapshot()
+		r.Metrics = tel.ArtifactSnapshot()
 	}
 	return r
 }

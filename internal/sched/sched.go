@@ -489,7 +489,7 @@ func Run(c Crawl) (*Result, error) {
 		// would make otherwise-identical artifacts digest-diverge.
 		res.Metrics = c.Telemetry.Snapshot()
 		if !c.DetachMetrics {
-			report.Metrics = res.Metrics
+			report.Metrics = c.Telemetry.ArtifactSnapshot()
 		}
 	}
 	if c.Record {

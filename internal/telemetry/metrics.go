@@ -139,6 +139,8 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	histBounds map[string][]float64
+	// operational holds the keys of counters created by Operational
+	operational map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -164,6 +166,25 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		c = &Counter{}
 		r.counters[key] = c
 	}
+	return c
+}
+
+// Operational returns the counter series name{labels}, creating it at zero,
+// and marks it operational: it counts how the program ran — a fallback it
+// took, a failure it absorbed — rather than what the crawl observed.
+// Operational series appear in Snapshot, for operators, and stay out of
+// ArtifactSnapshot, so counting them never moves an artifact.
+func (r *Registry) Operational(name string, labels ...Label) *Counter {
+	if r == nil {
+		return nil
+	}
+	c := r.Counter(name, labels...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.operational == nil {
+		r.operational = map[string]bool{}
+	}
+	r.operational[seriesKey(name, labels)] = true
 	return c
 }
 
@@ -262,6 +283,24 @@ func (r *Registry) Snapshot() *Snapshot {
 			}
 			s.Histograms[k] = hs
 		}
+	}
+	return s
+}
+
+// ArtifactSnapshot is Snapshot without the operational counters: the copy
+// that reports and sealed bundles embed.
+func (r *Registry) ArtifactSnapshot() *Snapshot {
+	s := r.Snapshot()
+	if s == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range r.operational {
+		delete(s.Counters, k)
+	}
+	if len(s.Counters) == 0 {
+		s.Counters = nil
 	}
 	return s
 }

@@ -62,6 +62,15 @@ func (t *Telemetry) Counter(name string, labels ...Label) *Counter {
 	return t.Metrics.Counter(name, labels...)
 }
 
+// Operational resolves the operational counter series name{labels}; see
+// Registry.Operational.
+func (t *Telemetry) Operational(name string, labels ...Label) *Counter {
+	if t == nil {
+		return nil
+	}
+	return t.Metrics.Operational(name, labels...)
+}
+
 // Gauge resolves the gauge series name{labels}.
 func (t *Telemetry) Gauge(name string, labels ...Label) *Gauge {
 	if t == nil {
@@ -107,4 +116,13 @@ func (t *Telemetry) Snapshot() *Snapshot {
 		return nil
 	}
 	return t.Metrics.Snapshot()
+}
+
+// ArtifactSnapshot captures the metrics sealed into reports and bundles;
+// see Registry.ArtifactSnapshot.
+func (t *Telemetry) ArtifactSnapshot() *Snapshot {
+	if t == nil {
+		return nil
+	}
+	return t.Metrics.ArtifactSnapshot()
 }

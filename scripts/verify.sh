@@ -109,9 +109,15 @@ rm -rf "$tracedir"
 
 # the parity test is skipped in -short mode, so run it explicitly here: it
 # records the 500-site scan on the bytecode VM and on the tree-walking
-# oracle and demands byte-identical bundles
+# oracle and demands byte-identical bundles, equal to the pinned artifacts
 echo "== VM-vs-oracle scan parity (500-site corpus; bundles must be byte-identical)"
 go test -count=1 -run '^TestScanBundleMatchesOracle$' ./internal/minjs
+
+# skipped in -short mode too: the same scan with every realm on the
+# instrument's install plan and with the script forced (the package's test
+# seam) must seal byte-identical bundles, with no install fallbacks
+echo "== install-plan scan identity (500-site corpus; planned vs scripted bundles must be byte-identical)"
+go test -count=1 -run '^TestScanBundleUnchangedByInstallPlan$' ./internal/openwpm
 
 # the whole repo under the race detector; experiments' full synthetic-web
 # crawls are gated behind -short (several minutes each under race) — set
