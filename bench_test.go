@@ -66,8 +66,8 @@ func BenchmarkScanCrawl(b *testing.B) {
 }
 
 // BenchmarkScanCrawlTelemetry is BenchmarkScanCrawl with full telemetry
-// (metrics, spans, no log sink) enabled; the delta between the two is the
-// instrumentation overhead budget asserted in BENCH_telemetry.json.
+// (metrics and spans) enabled; the delta between the two is the
+// instrumentation overhead.
 func BenchmarkScanCrawlTelemetry(b *testing.B) {
 	world := websim.New(websim.Options{Seed: 9, NumSites: 100000})
 	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
@@ -84,7 +84,7 @@ func BenchmarkScanCrawlTelemetry(b *testing.B) {
 
 // BenchmarkScanCrawlTraceDisabled is BenchmarkScanCrawlTelemetry with the
 // flight recorder detached (metrics stay on, Spans nil): the tracing-off
-// baseline that BENCH_trace.json prices span recording against.
+// baseline to price span recording against.
 func BenchmarkScanCrawlTraceDisabled(b *testing.B) {
 	world := websim.New(websim.Options{Seed: 9, NumSites: 100000})
 	tm := openwpm.NewTaskManager(openwpm.CrawlConfig{
@@ -123,8 +123,8 @@ func BenchmarkScanCrawlTraceStreamed(b *testing.B) {
 }
 
 // BenchmarkScanWorkers measures whole-scan throughput (crawl + analysis) at
-// several sharding widths; scripts/bench_scan.sh renders the sites/s metric
-// into BENCH_scan.json. On a single-core runner the worker counts tie —
+// several sharding widths, reported as sites/s. On a single-core runner the
+// worker counts tie —
 // sharding buys wall-clock only when GOMAXPROCS grants real parallelism.
 func BenchmarkScanWorkers(b *testing.B) {
 	const sites = 500

@@ -213,8 +213,10 @@ func main() {
 	}
 	if r.Interrupted {
 		done := 0
+		var unlogged []int
 		if r.Checkpoint != nil {
 			done = r.Checkpoint.Done()
+			unlogged = r.Checkpoint.UnloggedShards()
 			if cerr := r.Checkpoint.CloseBackends(); cerr != nil {
 				fmt.Fprintf(os.Stderr, "seal WAL: %v\n", cerr)
 			}
@@ -223,21 +225,31 @@ func main() {
 			writeTelemetry(tel, r.Trace, *telemetryPath, *tracePath)
 		}
 		if *store == "wal" {
+			if len(unlogged) > 0 {
+				fmt.Fprintf(os.Stderr, "interrupted at %d/%d sites; the WAL of shards %v failed to open, so their progress was not persisted\n", done, *sites, unlogged)
+				os.Exit(1)
+			}
 			fmt.Fprintf(os.Stderr, "interrupted at %d/%d sites; WAL sealed under %s — resume with -store wal -recover\n", done, *sites, *walDir)
 		} else {
 			fmt.Fprintf(os.Stderr, "interrupted at %d/%d sites; progress was not persisted (run with -store wal for a crash-safe, resumable log)\n", done, *sites)
 		}
 		os.Exit(signal.ExitInterrupted)
 	}
+	var unlogged []int
 	if *store == "wal" && r.Checkpoint != nil {
 		if cerr := r.Checkpoint.CloseBackends(); cerr != nil {
 			fmt.Fprintf(os.Stderr, "seal WAL: %v\n", cerr)
 			os.Exit(1)
 		}
+		unlogged = r.Checkpoint.UnloggedShards()
 	}
 	fmt.Fprintf(os.Stderr, "scan finished in %s (%d workers)\n\n", time.Since(start).Round(time.Second), r.Workers)
 	if tel.Enabled() {
 		writeTelemetry(tel, r.Trace, *telemetryPath, *tracePath)
+	}
+	if len(unlogged) > 0 {
+		fmt.Fprintf(os.Stderr, "the WAL of shards %v failed to open; their records were not persisted\n", unlogged)
+		os.Exit(1)
 	}
 	if r.Report != nil {
 		fmt.Fprint(os.Stderr, r.Report.String())

@@ -9,7 +9,6 @@ package browser
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gullible/internal/httpsim"
@@ -127,7 +126,6 @@ type Browser struct {
 	timerSeq     int
 
 	csp        CSP
-	visitURL   string
 	finalURL   string
 	links      []string
 	cspReports int
@@ -177,7 +175,6 @@ func (b *Browser) Now() float64 { return b.clockMS }
 // Visit loads url, executes the page, idles for the configured dwell time,
 // and returns a summary. The cookie jar and clock persist across visits.
 func (b *Browser) Visit(url string) (*VisitResult, error) {
-	b.visitURL = url
 	b.finalURL = url
 	b.links = nil
 	b.cspReports = 0
@@ -262,7 +259,7 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 	}
 	if b.budgetExhausted() {
 		b.abortErr = ErrVisitBudget
-		b.noteWatchdogFire(url)
+		b.mWatchdogFires.Inc()
 		return nil, ErrVisitBudget
 	}
 	var span int64
@@ -309,7 +306,7 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 		if b.budgetExhausted() {
 			// the response arrived only after the watchdog gave up
 			b.abortErr = ErrVisitBudget
-			b.noteWatchdogFire(url)
+			b.mWatchdogFires.Inc()
 			if span != 0 {
 				b.tel.End(span, "http-exchange", b.clockMS, telemetry.L("status", "watchdog"))
 			}
@@ -335,15 +332,6 @@ func (b *Browser) fetch(url string, rtype httpsim.ResourceType, method, body str
 	return resp, nil
 }
 
-// noteWatchdogFire records the visit watchdog aborting the current visit.
-func (b *Browser) noteWatchdogFire(url string) {
-	b.mWatchdogFires.Inc()
-	if b.tel.Enabled() {
-		b.tel.Event(telemetry.LevelWarn, "watchdog-fire", b.clockMS,
-			telemetry.L("url", url), telemetry.L("visit", b.visitURL))
-	}
-}
-
 // chargeSeconds advances the virtual clock by server latency, clamped so a
 // single slow response cannot overshoot far past the visit budget.
 func (b *Browser) chargeSeconds(s float64) {
@@ -365,9 +353,6 @@ func (b *Browser) chargeSeconds(s float64) {
 func (b *Browser) budgetExhausted() bool {
 	return b.Opts.MaxVisitSeconds > 0 && b.clockMS-b.visitStartMS >= b.Opts.MaxVisitSeconds*1000
 }
-
-// AbortError returns the error that aborted the current visit, if any.
-func (b *Browser) AbortError() error { return b.abortErr }
 
 // newWindow creates a realm for a document and fires the window hook.
 func (b *Browser) newWindow(url string, top bool, parent *jsdom.DOM) *jsdom.DOM {
@@ -735,9 +720,4 @@ func (fh *frameHost) OpenWindow(url string) (*jsdom.DOM, error) {
 
 func (fh *frameHost) DocumentWrite(html string) {
 	fh.b.loadHTML(fh.dom, html)
-}
-
-// SortTimersForTest exposes deterministic timer ordering in tests.
-func (b *Browser) SortTimersForTest() {
-	sort.SliceStable(b.timers, func(i, j int) bool { return b.timers[i].at < b.timers[j].at })
 }

@@ -364,31 +364,45 @@ func (d *Daemon) Submit(spec JobSpec, tenant string) (JobStatus, error) {
 		d.tel.Counter("daemon_jobs_coalesced_total").Inc()
 		return j.Status(), nil
 	}
+	// register before anything else, under the lock that did the coalescing
+	// check, so an identical concurrent submit coalesces onto this job
 	d.submitSeq++
 	j := &Job{
 		Addr: addr, Spec: canon, Tenant: tenant, Cost: Cost(canon),
 		Seq: d.submitSeq, state: JobQueued, done: make(chan struct{}),
 		events: newEventHub(d.tel.Counter("daemon_event_drops_total")),
 	}
+	d.jobs[addr] = j
 	d.mu.Unlock()
 
 	// the status as of admission: once admitted, an executor may already be
 	// running the job by the time Submit returns
 	admitted := j.Status()
-	if err := d.queue.Admit(j, false); err != nil {
-		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", rejectReason(err))).Inc()
-		return JobStatus{}, err
-	}
+	// persist before admitting, so the queue file exists before an executor
+	// can finish the job and remove it
 	if err := d.persistQueued(j); err != nil {
 		// a job we cannot persist would vanish on restart; refuse it
-		d.queue.Release(j)
+		d.unregister(j, err)
 		return JobStatus{}, err
 	}
-	d.mu.Lock()
-	d.jobs[addr] = j
-	d.mu.Unlock()
+	if err := d.queue.Admit(j, false); err != nil {
+		d.tel.Counter("daemon_jobs_rejected_total", telemetry.L("reason", rejectReason(err))).Inc()
+		d.unregister(j, err)
+		return JobStatus{}, err
+	}
 	d.tel.Gauge("daemon_queue_depth").Set(int64(d.queue.Depth()))
 	return admitted, nil
+}
+
+// unregister undoes a refused submission: the job leaves the registry, its
+// queue file (if written) is removed, and it finishes failed so submits that
+// coalesced onto it in the meantime see the refusal.
+func (d *Daemon) unregister(j *Job, err error) {
+	d.mu.Lock()
+	delete(d.jobs, j.Addr)
+	d.mu.Unlock()
+	d.removePersisted(j.Addr)
+	j.finish(JobFailed, "", err.Error())
 }
 
 func rejectReason(err error) string {
@@ -639,9 +653,10 @@ func (d *Daemon) executeCrawl(j *Job) ([]byte, ArtifactMeta, bool, error) {
 	}
 	if r.Interrupted {
 		if r.Checkpoint != nil {
-			if cerr := r.Checkpoint.CloseBackends(); cerr != nil && d.tel.Enabled() {
-				d.tel.Event(telemetry.LevelWarn, "wpmd-seal-failed", 0,
-					telemetry.L("job", j.Addr), telemetry.L("error", cerr.Error()))
+			// the job stays queued for the next start, which recovers
+			// what the unsealed log holds; the failure is only counted
+			if cerr := r.Checkpoint.CloseBackends(); cerr != nil {
+				d.tel.Counter("daemon_wal_seal_failures_total").Inc()
 			}
 		}
 		return nil, ArtifactMeta{}, true, nil
@@ -722,7 +737,6 @@ func (d *Daemon) executeReplay(j *Job) ([]byte, ArtifactMeta, error) {
 		rtel = &telemetry.Telemetry{
 			Metrics: d.tel.Metrics,
 			Spans:   telemetry.NewFlight(telemetry.DefaultFlightCapacity),
-			Logs:    d.tel.Logs,
 		}
 	}
 	rep, tm, _ := bundle.ReplayCrawl(src, policy, func(c *openwpm.CrawlConfig) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,8 +219,76 @@ func TestSubmitAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	// the queue (depth 2) is now full for everyone
-	if _, err := d.Submit(JobSpec{Kind: KindCrawl, NumSites: 3, Seed: 8}, "carol"); err != ErrQueueFull {
+	full := JobSpec{Kind: KindCrawl, NumSites: 3, Seed: 8}
+	if _, err := d.Submit(full, "carol"); err != ErrQueueFull {
 		t.Fatalf("full-queue submit: %v, want ErrQueueFull", err)
+	}
+	// a refused job leaves neither a registration nor a queue file behind
+	addr, _, err := ContentAddress(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Job(addr); ok {
+		t.Error("refused job is still registered")
+	}
+	if _, err := os.Stat(filepath.Join(d.cfg.Dir, "queue", addr+".json")); !os.IsNotExist(err) {
+		t.Errorf("refused job left its queue file: %v", err)
+	}
+}
+
+// TestConcurrentIdenticalSubmitsCoalesce: eight goroutines submit one spec at
+// once. Submit registers a job under the same lock that does the coalescing
+// check, so exactly one is admitted and seven coalesce onto it; it persists
+// before it admits, so the executor that finishes the job always finds (and
+// removes) its queue file.
+func TestConcurrentIdenticalSubmitsCoalesce(t *testing.T) {
+	tel := telemetry.New()
+	// no executors while the submits race: the job cannot finish (and turn
+	// late submits into cache hits) before every submit has returned
+	d := stalledDaemon(t, Config{Dir: t.TempDir(), Telemetry: tel})
+	const submitters = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	ids := make([]string, submitters)
+	errs := make([]error, submitters)
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			st, err := d.Submit(smallCrawl, "alice")
+			ids[i], errs[i] = st.ID, err
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("submit %d got job %s, submit 0 got %s", i, ids[i], ids[0])
+		}
+	}
+	if depth := d.QueueDepth(); depth != 1 {
+		t.Fatalf("queue depth %d after identical submits, want 1", depth)
+	}
+
+	d.wg.Add(1)
+	go d.executor()
+	defer d.Drain()
+	if done := waitDone(t, d, ids[0]); done.State != JobDone {
+		t.Fatalf("job finished as %+v", done)
+	}
+	snap := tel.Snapshot()
+	if got := snap.Total("daemon_jobs_completed_total"); got != 1 {
+		t.Errorf("executions = %d, want 1", got)
+	}
+	if got := snap.Counters["daemon_jobs_coalesced_total"]; got != submitters-1 {
+		t.Errorf("daemon_jobs_coalesced_total = %d, want %d", got, submitters-1)
+	}
+	if _, err := os.Stat(filepath.Join(d.cfg.Dir, "queue", ids[0]+".json")); !os.IsNotExist(err) {
+		t.Errorf("queue file left after Done: %v", err)
 	}
 }
 

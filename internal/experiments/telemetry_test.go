@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"gullible/internal/faults"
@@ -118,5 +120,52 @@ func TestReliabilityTelemetryPerRun(t *testing.T) {
 	}
 	if diff := r.Vanilla.Metrics.Diff(r.Hardened.Metrics); len(diff) == 0 {
 		t.Fatal("vanilla and hardened pipelines produced identical metrics under faults")
+	}
+}
+
+// TestFaultedScanArtifactsPinned pins the artifacts of `wpmscan -sites 40
+// -subpages 1 -workers 2 -faults default -record-bundle` with telemetry on
+// (world seed 42, fault seed 1): the artifact snapshot's canonical JSON, the
+// sealed bundle and the merged span trace. Degradation counters are
+// resolved on their failure path only, so a crawl that never takes one
+// gains no series and these bytes stay put.
+func TestFaultedScanArtifactsPinned(t *testing.T) {
+	const sites = 40
+	profile := faults.DefaultProfile()
+	tel := telemetry.New()
+	world := websim.New(websim.Options{Seed: 42, NumSites: sites})
+	r, err := RunScanObserved(world, sites, ScanOptions{
+		MaxSubpages:  1,
+		Workers:      2,
+		FaultProfile: &profile,
+		FaultSeed:    1,
+		RecordBundle: true,
+		BundleMeta:   map[string]string{"tool": "wpmscan", "worldSeed": "42", "faults": "default"},
+		Telemetry:    tel,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tel.ArtifactSnapshot().CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := telemetry.WriteTrace(&trace, r.Trace); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		pinnedSnapshotSHA256 = "e8d016f603b0becd930ec762db5bceebb07466af657503bc94aca07039acb7e3"
+		pinnedBundleDigest   = "11e3ed177e1475137585a38491d7e653bbf59f66658ab71f0b4a328b945bb092"
+		pinnedTraceSHA256    = "56d5590bd0e4132845b55f063774f54d7ca48bce2c49613992edd8882eb46576"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != pinnedSnapshotSHA256 {
+		t.Errorf("artifact snapshot sha256 %s, want %s:\n%s", got, pinnedSnapshotSHA256, snap)
+	}
+	if r.Bundle.Digest != pinnedBundleDigest {
+		t.Errorf("bundle digest %s, want %s", r.Bundle.Digest, pinnedBundleDigest)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(trace.Bytes())); got != pinnedTraceSHA256 {
+		t.Errorf("span trace sha256 %s, want %s", got, pinnedTraceSHA256)
 	}
 }

@@ -113,6 +113,3 @@ func (Detector) Detect(d *jsdom.DOM) []Finding {
 	}
 	return out
 }
-
-// IsOpenWPM reports whether the client is identified as an OpenWPM bot.
-func (det Detector) IsOpenWPM(d *jsdom.DOM) bool { return len(det.Detect(d)) > 0 }

@@ -400,10 +400,6 @@ func (d *DOM) addPageListener(event string, fn minjs.Value) {
 	}
 }
 
-// PageListeners returns registered page listeners for an event type; the
-// crawler can fire them to simulate interaction.
-func (d *DOM) PageListeners(event string) []*minjs.Object { return d.pageListeners[event] }
-
 // ListenHostEvent registers an extension-side listener for events delivered
 // through the original native dispatchEvent. This models the content script
 // of OpenWPM's extension receiving instrumentation messages.

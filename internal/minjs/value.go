@@ -2,7 +2,6 @@ package minjs
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -358,14 +357,6 @@ func (o *Object) NativeFnName() string {
 	return o.fnd.NativeName
 }
 
-// SetToStringOverride replaces the text Function.prototype.toString reports
-// for this callable.
-func (o *Object) SetToStringOverride(src string) {
-	if o.fnd != nil {
-		o.fnd.ToStringOverride = src
-	}
-}
-
 // NewObject returns a plain object with the given prototype. The property
 // map is created lazily on first definition.
 func NewObject(proto *Object) *Object {
@@ -608,14 +599,6 @@ func (o *Object) EnumerateAll() []string {
 		}
 	}
 	return out
-}
-
-// SortedOwnKeys returns own property names sorted; handy for deterministic
-// host-side inspection.
-func (o *Object) SortedOwnKeys() []string {
-	ks := o.OwnKeys(false)
-	sort.Strings(ks)
-	return ks
 }
 
 // FunctionSource returns the text Function.prototype.toString reports.

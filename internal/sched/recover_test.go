@@ -1,10 +1,13 @@
 package sched_test
 
 import (
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
 	"gullible/internal/sched"
+	"gullible/internal/telemetry"
 	"gullible/internal/wal"
 	"gullible/internal/websim"
 )
@@ -322,5 +325,59 @@ func TestRecoverShardMetaLost(t *testing.T) {
 	}
 	if err := resumed.Checkpoint.CloseBackends(); err != nil {
 		t.Fatalf("closing recovered backends: %v", err)
+	}
+}
+
+// createFailFS is a shard log whose files can never be created.
+type createFailFS struct{ *wal.MemFS }
+
+func (createFailFS) Create(string) (wal.File, error) {
+	return nil, errors.New("create: device unavailable")
+}
+
+// TestWALOpenFailureIsCounted: a shard whose log cannot open degrades to
+// memory-only. The crawl's storage is unchanged, the failure is counted once
+// in wal_open_failures_total (an operational series, so the report's
+// artifact snapshot does not carry it), and the checkpoint names the shard
+// as unlogged.
+func TestWALOpenFailureIsCounted(t *testing.T) {
+	const sites, workers = 6, 2
+	urls := websim.Tranco(sites)
+	reference, err := sched.Run(sched.Crawl{
+		Sites:   urls,
+		Workers: workers,
+		Config:  crawlConfig(websim.New(websim.Options{Seed: 5, NumSites: sites}), nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.New()
+	fss := []wal.FS{createFailFS{wal.NewMemFS()}, wal.NewMemFS()}
+	r, err := sched.Run(sched.Crawl{
+		Sites:     urls,
+		Workers:   workers,
+		Config:    crawlConfig(websim.New(websim.Options{Seed: 5, NumSites: sites}), tel),
+		Telemetry: tel,
+		Backend: sched.WALBackend(func(sh sched.Shard) wal.FS { return fss[sh.Index] },
+			workers, false, nil, wal.Options{Telemetry: tel}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Snapshot().Counters["wal_open_failures_total"]; got != 1 {
+		t.Errorf("wal_open_failures_total = %d, want 1", got)
+	}
+	if _, ok := r.Report.Metrics.Counters["wal_open_failures_total"]; ok {
+		t.Error("the report's artifact snapshot carries the operational wal_open_failures_total")
+	}
+	if got := r.Checkpoint.UnloggedShards(); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("UnloggedShards = %v, want [0]", got)
+	}
+	if a, b := reference.Storage.Digest(), r.Storage.Digest(); a != b {
+		t.Errorf("storage digest %s with a failed WAL open, %s without a WAL", b, a)
+	}
+	if err := r.Checkpoint.CloseBackends(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -220,6 +220,20 @@ func (cp *Checkpoint) Done() int {
 	return n
 }
 
+// UnloggedShards lists the shards that ran without a storage backend in a
+// crawl that asked for one: their WAL failed to open (see WALBackend), so
+// their records live only in memory and neither a seal nor a recovery
+// covers them.
+func (cp *Checkpoint) UnloggedShards() []int {
+	var out []int
+	for _, st := range cp.Shards {
+		if st != nil && st.Backend == nil {
+			out = append(out, st.Shard.Index)
+		}
+	}
+	return out
+}
+
 // CloseBackends closes every shard's storage backend (no-op for shards
 // without one). Call it once the checkpoint is finished with — after a
 // completed run, or when abandoning an interrupted one. The scheduler itself
@@ -348,7 +362,7 @@ func Run(c Crawl) (*Result, error) {
 				// Spans move to a shard-local flight recorder: a ring shared
 				// across workers interleaves events in scheduling order, so
 				// no deterministic whole-crawl trace could be cut from it.
-				// Metrics and logs stay shared (atomic, order-independent).
+				// Metrics stay shared (atomic, order-independent).
 				if st.flight == nil {
 					st.flight = telemetry.NewFlight(telemetry.DefaultFlightCapacity)
 				}
@@ -359,7 +373,6 @@ func Run(c Crawl) (*Result, error) {
 				cfg.Telemetry = &telemetry.Telemetry{
 					Metrics: cfg.Telemetry.Metrics,
 					Spans:   st.flight,
-					Logs:    cfg.Telemetry.Logs,
 				}
 			}
 			tm := openwpm.NewTaskManager(cfg)

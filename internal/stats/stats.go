@@ -93,23 +93,6 @@ func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// Sum adds a slice.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean averages a slice (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
 // PercentChange returns the relative change from base to new in percent.
 func PercentChange(base, val float64) float64 {
 	if base == 0 {

@@ -51,7 +51,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Begin returned span %d", span)
 	}
 	tel.End(span, "visit", 1)
-	tel.Event(LevelError, "retry", 0, L("k", "v"))
 	if s := tel.Snapshot(); s != nil {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
@@ -65,10 +64,6 @@ func TestNilSafety(t *testing.T) {
 	if ev := f.Events(); ev != nil {
 		t.Fatalf("nil flight has events: %v", ev)
 	}
-	var lg *Logger
-	lg.Emit(LevelError, "x", 0)
-	// Enabled telemetry without a log sink must also swallow events.
-	New().Event(LevelError, "retry", 0)
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -241,32 +236,5 @@ func TestFlightOverwritesOldest(t *testing.T) {
 	// events minus the four overwritten).
 	if ev[0].Span != 5 || ev[0].Kind != "B" {
 		t.Fatalf("oldest retained event = %+v", ev[0])
-	}
-}
-
-func TestLoggerLevelsAndSinks(t *testing.T) {
-	sink := &TestSink{}
-	tel := New().WithLog(sink, LevelWarn)
-	tel.Event(LevelInfo, "backoff", 100, L("seconds", "2"))
-	tel.Event(LevelWarn, "watchdog-fire", 200, L("url", "https://x/"))
-	tel.Event(LevelError, "breaker-trip", 300)
-	if got := len(sink.Events()); got != 2 {
-		t.Fatalf("sink saw %d events, want 2 (info filtered)", got)
-	}
-	if got := sink.Named("watchdog-fire"); len(got) != 1 || got[0].AtMS != 200 {
-		t.Fatalf("Named = %+v", got)
-	}
-
-	var buf bytes.Buffer
-	ws := NewWriterSink(&buf)
-	NewLogger(ws, LevelDebug).Emit(LevelWarn, "storage-drop", 1500, L("table", "javascript"))
-	want := "[warn] storage-drop ts=1.500 table=javascript\n"
-	if buf.String() != want {
-		t.Fatalf("writer sink line = %q, want %q", buf.String(), want)
-	}
-
-	NewLogger(NullSink{}, LevelDebug).Emit(LevelError, "x", 0) // must not panic
-	if NewLogger(nil, LevelDebug) != nil {
-		t.Fatal("NewLogger(nil) should return nil")
 	}
 }

@@ -48,7 +48,7 @@ const (
 	// power loss can lose everything since the last rotation.
 	SyncOff
 	// SyncAlways fsyncs after every record — maximum durability, maximum
-	// cost (BENCH_wal.json tracks the gap).
+	// cost (BenchmarkBackendAppend measures the gap).
 	SyncAlways
 )
 
@@ -362,6 +362,3 @@ func (w *Writer) Close() error {
 
 // Stats returns the writer's durability accounting.
 func (w *Writer) Stats() WriterStats { return w.stats }
-
-// SegIndex is the index of the segment currently being written.
-func (w *Writer) SegIndex() int { return w.segIndex }

@@ -81,6 +81,9 @@ go test -race -run 'KillAndRecoverFromWAL|RecoverShardRebuildsStorage|Truncation
 echo "== go test -race ./internal/daemon/... (crawl-as-a-service: cache keying, admission, drain+recover)"
 go test -race ./internal/daemon/...
 
+echo "== daemon admission stress (identical concurrent submits coalesce onto one execution)"
+go test -race -count=20 -run '^TestConcurrentIdenticalSubmitsCoalesce$' ./internal/daemon
+
 echo "== wpmd smoke (start, submit, poll, artifact, digest-identical cache hit, metrics, drain)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
@@ -136,8 +139,8 @@ go vet ./internal/telemetry
 echo "== telemetry overhead benchmark (smoke)"
 go test -run '^$' -bench TelemetryOverhead -benchtime 100x ./internal/telemetry
 
-# the benchmark smokes call go test directly: the scripts/bench_*.sh
-# wrappers rewrite the committed BENCH_*.json files with their numbers
+# the benchmark smokes run each Go benchmark once so they keep compiling
+# and running; perfbench/run.sh is the measuring harness
 echo "== scan shard-scaling benchmark (smoke)"
 go test -run '^$' -bench 'BenchmarkScanWorkers' -benchtime 1x . >/dev/null
 
